@@ -9,13 +9,21 @@ DESIGN.md for the experiment index).  The benchmarks share:
   (e.g. the speedup summary) can reuse the sweeps that earlier benchmarks
   already ran instead of repeating minutes of work,
 * a helper that writes each experiment's rows and formatted table to
-  ``results/<name>.txt`` so the figures survive the pytest run.
+  ``results/<name>.txt`` under the session's output directory.
+
+Under pytest every benchmark output -- the ``results/*`` reports and the
+``BENCH_*.json`` trajectory -- goes to a session temporary directory
+(``<pytest basetemp>/bench``), so running the suite leaves the tracked files
+untouched.  ``repro-moqo bench`` is the way to regenerate the tracked
+results; pass ``--basetemp=DIR`` to pytest to keep a run's outputs at a
+known place.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Iterator
 
 import pytest
 
@@ -25,7 +33,29 @@ from repro.bench.experiments import ExperimentResult
 from repro.bench.export import write_text_report
 from repro.bench.reporting import format_grouped_times
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+def results_dir() -> Path:
+    """Where this session's benchmark reports go: ``results/`` next to the
+    session's trajectory files (see :func:`bench_output_dir`)."""
+    return trajectory.trajectory_dir() / "results"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bench_output_dir(tmp_path_factory) -> Iterator[Path]:
+    """Point the trajectory (and with it :func:`results_dir`) at a session
+    temporary directory for the whole benchmark session."""
+    out = tmp_path_factory.getbasetemp() / "bench"
+    out.mkdir(parents=True, exist_ok=True)
+    variable = trajectory.TRAJECTORY_DIR_ENV_VAR
+    previous = os.environ.get(variable)
+    os.environ[variable] = str(out)
+    try:
+        yield out
+    finally:
+        if previous is None:
+            del os.environ[variable]
+        else:
+            os.environ[variable] = previous
 
 #: Session-wide cache of already-computed experiment results, keyed by name.
 _RESULT_CACHE: Dict[str, ExperimentResult] = {}
@@ -64,4 +94,4 @@ def persist_result(
     # Every persisted experiment also appends its numbers to the
     # machine-readable trajectory (BENCH_kernel.json / BENCH_service.json).
     trajectory.append_rows(result.name, result.rows)
-    return write_text_report(result, RESULTS_DIR, extra_sections=tuple(sections))
+    return write_text_report(result, results_dir(), extra_sections=tuple(sections))

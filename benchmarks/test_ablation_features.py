@@ -15,7 +15,7 @@ holds (Δ-sets off enumerates more pairs; frontier cache off recomputes the
 warm phase), and the gate reports no violations.
 """
 
-from benchmarks.conftest import RESULTS_DIR, persist_result
+from benchmarks.conftest import persist_result, results_dir
 from repro.bench.ablation import (
     BASELINE_CONFIG,
     FEATURES,
@@ -39,7 +39,7 @@ def test_ablation_features(benchmark, bench_config, result_cache):
     result_cache["ablation_features"] = result
     sections = tuple(formatter(result) for formatter in SPEC.section_formatters)
     path = persist_result(result, extra_sections=sections)
-    json_path = write_ablation_json(result, RESULTS_DIR)
+    json_path = write_ablation_json(result, results_dir())
     print(format_rows(result))
     print(f"[ablation_features] rows written to {path}")
     print(f"[ablation_features] artifact written to {json_path}")

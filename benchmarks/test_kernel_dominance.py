@@ -22,7 +22,8 @@ the native Pareto sweep is >= 5x over the numpy one -- asserted only where a
 C compiler is available; without one the skip is recorded in the results
 file instead of silently passing.  Results are persisted to
 ``results/kernel_dominance.txt`` and appended to the machine-readable
-trajectory (``BENCH_kernel.json``).
+trajectory (``BENCH_kernel.json``), both under the session's output
+directory (see ``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from __future__ import annotations
 import os
 import random
 import time
-from pathlib import Path
 
 import pytest
 
+from benchmarks.conftest import results_dir
 from repro import kernel
 from repro.bench import trajectory
 from repro.core.index import PlanIndex
@@ -52,7 +53,6 @@ except ImportError:  # pragma: no cover - depends on environment
 
 HAVE_NATIVE = kernel.native_available()
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "results" / "kernel_dominance.txt"
 
 #: Block sizes bracketing the per-table-set plan counts of the Figure-3/4
 #: workloads (TPC-H join blocks, fine target precision).
@@ -217,10 +217,11 @@ def test_kernel_dominance_speedup():
         "",
         format_table("index retrieval (PlanIndex.retrieve)", index_rows),
     ]
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text("\n".join(sections) + "\n")
+    results_path = results_dir() / "kernel_dominance.txt"
+    results_path.parent.mkdir(parents=True, exist_ok=True)
+    results_path.write_text("\n".join(sections) + "\n")
     print("\n".join(sections))
-    print(f"[kernel_dominance] rows written to {RESULTS_PATH}")
+    print(f"[kernel_dominance] rows written to {results_path}")
 
     trajectory.append_rows("kernel_dominance_filter", block_rows)
     trajectory.append_rows("kernel_dominance_pareto", pareto_rows)

@@ -12,15 +12,16 @@ cost rows (asserted per size on both kernel backends); the block path is
 required to be at least 2x faster at the largest size on the numpy backend
 (the acceptance bar of the arena refactor).  A small end-to-end IAMA
 resolution sweep is also timed for reference.  Results are persisted to
-``results/plan_arena.txt``.
+``results/plan_arena.txt`` under the session's output directory (see
+``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
 
 import time
-from pathlib import Path
 from typing import List, Tuple
 
+from benchmarks.conftest import results_dir
 from repro import kernel
 from repro.api import OptimizeRequest, open_session, resolve_request
 from repro.plans.arena import PlanArena
@@ -32,7 +33,6 @@ try:
 except ImportError:  # pragma: no cover - depends on environment
     HAVE_NUMPY = False
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "results" / "plan_arena.txt"
 
 #: Combination-block sizes bracketing what fresh-plan generation feeds the
 #: costing step; 4096 is the acceptance-criteria size.
@@ -173,10 +173,11 @@ def test_plan_arena_block_costing_speedup():
             for key, value in end_to_end.items()
         ),
     ]
-    RESULTS_PATH.parent.mkdir(exist_ok=True)
-    RESULTS_PATH.write_text("\n".join(sections) + "\n")
+    results_path = results_dir() / "plan_arena.txt"
+    results_path.parent.mkdir(parents=True, exist_ok=True)
+    results_path.write_text("\n".join(sections) + "\n")
     print("\n".join(sections))
-    print(f"[plan_arena] rows written to {RESULTS_PATH}")
+    print(f"[plan_arena] rows written to {results_path}")
 
     largest = rows[-1]
     if HAVE_NUMPY:

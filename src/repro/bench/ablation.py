@@ -185,14 +185,6 @@ FEATURES.register(
 )
 FEATURES.register(
     Feature(
-        name="bounds_bucket",
-        layer="core",
-        description="bounds row log-bucketed once per prune block vs per plan",
-        lowering="REPRO_FEATURE_BOUNDS_BUCKET=0",
-    )
-)
-FEATURES.register(
-    Feature(
         name="witness_cache",
         layer="core",
         description="remembered dominating witness re-checked first on re-pruning",

@@ -18,7 +18,7 @@ This package implements the paper's contribution:
 
 from repro.core.resolution import ResolutionSchedule
 from repro.core.index import PlanIndex, IndexedPlan
-from repro.core.pruning import PruneOutcome, prune
+from repro.core.pruning import PruneOutcome, prune_all_ids
 from repro.core.fresh import FreshnessRegistry, fresh_pairs
 from repro.core.state import OptimizerState, OptimizerCounters
 from repro.core.optimizer import IncrementalOptimizer, InvocationReport
@@ -37,7 +37,7 @@ __all__ = [
     "PlanIndex",
     "IndexedPlan",
     "PruneOutcome",
-    "prune",
+    "prune_all_ids",
     "FreshnessRegistry",
     "fresh_pairs",
     "OptimizerState",

@@ -21,22 +21,33 @@ compares *above* every finite bucket, so the bucket-skipping comparisons treat
 them as maximally expensive (they can never satisfy finite bounds) instead of
 accidentally ranking them below the cheapest plans.
 
-Since the arena refactor the index stores *arena plan ids*, not plan objects:
-each bucket is a :class:`~repro.costs.matrix.CostBlock` whose payloads are
-plain integers, and the arena reference (captured from the first inserted
-plan) turns ids back into canonical handles only at the object-API boundary
-(:meth:`retrieve`, :meth:`find_dominating`).  The id-level methods
-(:meth:`retrieve_ids`, :meth:`insert_id`, :meth:`find_dominating_id`) are the
-optimizer's hot path -- no handle materialization, interesting-order filters
-as integer comparisons.
+The index stores *arena plan ids*, not plan objects: each bucket is a
+:class:`~repro.costs.matrix.CostBlock` whose payloads are plain integers, and
+the arena reference (captured from the first inserted plan) turns ids back
+into canonical handles only at the object-API boundary (:meth:`retrieve`,
+:meth:`find_dominating`).  Each bucket keeps its plans' cost rows in a
+:class:`~repro.costs.matrix.CostMatrix`, so a bucket is filtered with one
+kernel call (:mod:`repro.kernel`) instead of a per-plan ``dominates()`` loop.
 
-Each bucket stores its plans alongside a
-:class:`~repro.costs.matrix.CostMatrix` of their cost vectors, so the
-surviving buckets of a query are filtered with one batched kernel call each
-(:mod:`repro.kernel`) instead of a per-plan ``dominates()`` loop.  Removal
-tombstones the bucket slot and compacts lazily, preserving insertion order --
-retrieval therefore returns plans in exactly the order the scalar
-implementation did, which keeps frontiers byte-identical.
+The optimizer's hot path works a block of plans at a time:
+
+* :meth:`insert_ids` registers a block with one column-wise append per
+  (resolution, bucket) group.  Groups are visited in order of first
+  appearance and keep block order inside, so buckets are created, and slots
+  filled, exactly as one :meth:`insert_id` per plan would;
+* :meth:`take_ids` removes and returns what :meth:`retrieve_ids` would
+  return, emptying or tombstoning each bucket in one pass instead of one
+  :meth:`remove_id` per plan;
+* :meth:`find_dominating_ids` runs the witness search of a whole block:
+  buckets in ascending first-metric order, each compared against every row
+  still without a witness in one block-vs-bucket kernel call.  It is the
+  only witness search; :meth:`find_dominating_id` is its one-row form.
+
+Removal tombstones the bucket slot and compacts lazily, preserving insertion
+order -- retrieval therefore returns plans in exactly the order the scalar
+implementation did, which keeps frontiers byte-identical.  Retrieval order
+(levels ascending, buckets in creation order, slots in insertion order)
+feeds later pruning, which is why the bulk operations preserve it.
 
 The index never stores duplicate plan ids and supports removal, which the
 candidate set needs (every retrieved candidate is deleted and re-pruned,
@@ -46,11 +57,13 @@ Algorithm 2 lines 8-11).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import insort
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import flags
+from repro import flags, kernel
 from repro.costs.matrix import CostBlock
 from repro.costs.vector import CostVector
 from repro.plans.arena import PlanArena
@@ -84,7 +97,7 @@ class _Bucket(CostBlock[int]):
     only if one exists in the full bucket: every non-front row is dominated
     by (or equal to) some front row, and dominance is transitive.  The
     *identity* of the witness may differ from the full-bucket scan, which is
-    fine -- :meth:`PlanIndex.find_dominating_id` only promises *some*
+    fine -- :meth:`PlanIndex.find_dominating_ids` only promises *some*
     dominating plan, and the pruning layer re-validates cached witnesses
     before use.
 
@@ -145,6 +158,17 @@ class _Bucket(CostBlock[int]):
             self.front = None
             self.front_ids = None
 
+    def order_mask(self, arena: PlanArena, order_id: int) -> array:
+        """Liveness bitmap restricted to rows whose plan has ``order_id``."""
+        order_of = arena.order_id_of
+        return array(
+            "b",
+            [
+                1 if plan_id is not None and order_of(plan_id) == order_id else 0
+                for plan_id in self.items
+            ],
+        )
+
 
 class PlanIndex:
     """Plans indexed by cost vector and resolution level.
@@ -184,11 +208,6 @@ class PlanIndex:
     def _bucket_of(self, cost: Sequence[float]) -> _BucketId:
         return self._bucket_of_first(cost[0])
 
-    def bucket_of(self, cost: Sequence[float]) -> _BucketId:
-        """Cell bucket id of a cost row (exposed for batch callers that
-        bucket a shared bound vector once per block)."""
-        return self._bucket_of_first(cost[0])
-
     def _require_arena(self) -> PlanArena:
         if self._arena is None:
             raise ValueError("the index is empty; no arena captured yet")
@@ -214,13 +233,8 @@ class PlanIndex:
         plan_id: int,
         resolution: int,
         arena: Optional[PlanArena] = None,
-        cost_row: Optional[Sequence[float]] = None,
     ) -> None:
-        """Register the plan with the given arena id.
-
-        ``cost_row`` may carry the plan's already-gathered cost row (the
-        batched pruning path has it at hand), saving one arena read.
-        """
+        """Register the plan with the given arena id."""
         if resolution < 0:
             raise ValueError("resolution must be non-negative")
         if arena is not None:
@@ -230,18 +244,78 @@ class PlanIndex:
             raise ValueError(
                 f"plan {plan_id} is already registered in this index"
             )
-        if cost_row is None:
-            cost_row = owner.cost_row(plan_id)
+        cost_row = owner.cost_row(plan_id)
         bucket_id = self._bucket_of(cost_row)
-        level = self._levels.setdefault(resolution, {})
-        bucket = level.get(bucket_id)
-        if bucket is None:
-            bucket = _Bucket(owner.dimensions)
-            level[bucket_id] = bucket
-            insort(self._sorted_ids.setdefault(resolution, []), bucket_id)
+        bucket = self._bucket_for(resolution, bucket_id)
         slot = bucket.append(cost_row, plan_id)
         bucket.front_note_insert(cost_row, plan_id)
         self._locations[plan_id] = (resolution, bucket_id, slot)
+
+    def _bucket_for(self, resolution: int, bucket_id: _BucketId) -> _Bucket:
+        level = self._levels.setdefault(resolution, {})
+        bucket = level.get(bucket_id)
+        if bucket is None:
+            bucket = _Bucket(self._require_arena().dimensions)
+            level[bucket_id] = bucket
+            insort(self._sorted_ids.setdefault(resolution, []), bucket_id)
+        return bucket
+
+    def insert_ids(
+        self,
+        plan_ids: Sequence[int],
+        resolutions: Sequence[int],
+        arena: PlanArena,
+        columns: Sequence[Sequence[float]],
+    ) -> None:
+        """Register a block of plans; same final state as :meth:`insert_id`
+        called once per plan, in block order.
+
+        ``resolutions`` and the cost ``columns`` (one per metric) run
+        parallel to ``plan_ids``.  The rows are grouped per (resolution,
+        bucket) in order of first appearance, so buckets are created in the
+        order the per-plan inserts would create them, and each group is
+        appended with one column-wise extend.
+        """
+        if not plan_ids:
+            return
+        self._adopt_arena(arena)
+        locations = self._locations
+        if len(set(plan_ids)) != len(plan_ids) or not locations.keys().isdisjoint(
+            plan_ids
+        ):
+            raise ValueError("a plan of the block is already registered in this index")
+        if min(resolutions) < 0:
+            raise ValueError("resolution must be non-negative")
+        bucket_of = self._bucket_of_first
+        keys = [
+            (resolution, bucket_of(first))
+            for resolution, first in zip(resolutions, columns[0])
+        ]
+        # Groups in order of first appearance, block order inside each.
+        groups: Dict[Tuple[int, _BucketId], List[int]] = {}
+        for position, key in enumerate(keys):
+            groups.setdefault(key, []).append(position)
+        whole = len(groups) == 1
+        for (resolution, bucket_id), positions in groups.items():
+            bucket = self._bucket_for(resolution, bucket_id)
+            ids = [plan_ids[position] for position in positions]
+            rows = columns if whole else kernel.ops.take(columns, positions)
+            first_slot = bucket.extend(rows, ids)
+            locations.update(
+                zip(
+                    ids,
+                    zip(
+                        repeat(resolution),
+                        repeat(bucket_id),
+                        range(first_slot, first_slot + len(ids)),
+                    ),
+                )
+            )
+            if bucket.front is not None:
+                for offset, plan_id in enumerate(ids):
+                    bucket.front_note_insert(
+                        tuple(col[offset] for col in rows), plan_id
+                    )
 
     def remove(self, plan: Plan) -> None:
         """Remove a previously registered plan."""
@@ -270,6 +344,63 @@ class PlanIndex:
         elif bucket.compact_if_needed() is not None:
             for new_slot, survivor in enumerate(bucket.items):
                 self._locations[survivor] = (resolution, bucket_id, new_slot)
+
+    def take_ids(
+        self,
+        bounds: Sequence[float],
+        max_resolution: int,
+        min_resolution: int = 0,
+    ) -> List[int]:
+        """Remove and return the plans :meth:`retrieve_ids` would return.
+
+        Same ids in the same order, and the same index contents afterwards,
+        as :meth:`retrieve_ids` followed by one :meth:`remove_id` per id --
+        but each bucket is filtered with one kernel call and emptied or
+        tombstoned in one pass.  (Slot layouts may differ in where
+        tombstones sit; live order never does.)
+        """
+        taken: List[int] = []
+        if max_resolution < min_resolution:
+            return taken
+        bound_bucket = self._bucket_of(bounds)
+        locations = self._locations
+        for resolution in range(min_resolution, max_resolution + 1):
+            buckets = self._levels.get(resolution)
+            if not buckets:
+                continue
+            emptied: List[_BucketId] = []
+            for bucket_id, bucket in buckets.items():
+                if bucket_id > bound_bucket:
+                    continue
+                slots = bucket.matrix.dominated_slots(bounds)
+                if not slots:
+                    continue
+                items = bucket.items
+                ids = [items[slot] for slot in slots]
+                taken.extend(ids)
+                for plan_id in ids:
+                    del locations[plan_id]
+                if len(slots) == bucket.matrix.live_count:
+                    emptied.append(bucket_id)
+                    continue
+                for slot in slots:
+                    bucket.kill(slot)
+                front_ids = bucket.front_ids
+                if front_ids is not None and not front_ids.isdisjoint(ids):
+                    bucket.front = None
+                    bucket.front_ids = None
+                if bucket.compact_if_needed() is not None:
+                    for new_slot, survivor in enumerate(bucket.items):
+                        locations[survivor] = (resolution, bucket_id, new_slot)
+            if emptied:
+                sorted_ids = self._sorted_ids[resolution]
+                for bucket_id in emptied:
+                    del buckets[bucket_id]
+                    sorted_ids.remove(bucket_id)
+                if not buckets:
+                    del self._levels[resolution]
+                    del self._sorted_ids[resolution]
+        return taken
 
     def discard(self, plan: Plan) -> bool:
         """Remove the plan if present; return whether it was present."""
@@ -313,6 +444,13 @@ class PlanIndex:
             raise KeyError(
                 f"plan {plan_id} is not registered in this index"
             ) from None
+
+    def resolutions_of_ids(self, plan_ids: Sequence[int]) -> List[int]:
+        """Registered resolution of each id, or -1 for ids not in the index."""
+        get = self._locations.get
+        return [
+            -1 if location is None else location[0] for location in map(get, plan_ids)
+        ]
 
     def all_ids(self) -> List[int]:
         """Every registered plan id, in no particular order."""
@@ -421,65 +559,95 @@ class PlanIndex:
         bounds: Sequence[float],
         max_resolution: int,
         order_id: Optional[int] = None,
-        bounds_bucket: Optional[float] = None,
     ) -> int:
         """Id of some in-range plan whose cost dominates ``target``, or 0.
 
         The id-level witness search of Algorithm 3 line 7
-        (``∃ p_A ∈ Res^q[0..b, 0..r] : c(p_A) ⪯ alpha_r · c(p)``); the caller
-        passes the already-scaled ``target`` row.  ``order_id`` restricts the
-        comparison to plans with exactly that interned interesting order
-        (Section 4.3); ``None`` accepts any plan.
-
-        Buckets are scanned in ascending first-metric order because
-        dominating plans are cheap plans, which makes the short-circuit
-        trigger early.  A plan dominates both ``bounds`` and ``target``
-        exactly when it dominates their component-wise minimum, so each
-        bucket needs a single batched kernel call.  Batch callers pruning a
-        whole block under one bound vector pass the precomputed
-        ``bounds_bucket`` to skip re-bucketing the bounds per plan.
+        (``∃ p_A ∈ Res^q[0..b, 0..r] : c(p_A) ⪯ alpha_r · c(p)``) for one
+        row; the caller passes the already-scaled ``target`` row.
+        ``order_id`` restricts the comparison to plans with exactly that
+        interned interesting order (Section 4.3); ``None`` or 0 accepts any
+        plan.  A plan dominates both ``bounds`` and ``target`` exactly when
+        it dominates their component-wise minimum, which is the query handed
+        to :meth:`find_dominating_ids`.
         """
         if len(target) != len(bounds):
             raise ValueError(
                 "cannot compare cost vectors of different dimensionality"
             )
-        if bounds_bucket is None:
-            bounds_bucket = self._bucket_of(bounds)
-        bucket_limit = min(bounds_bucket, self._bucket_of(target))
-        combined = tuple(map(min, bounds, target))
+        query = [[min(b, t)] for b, t in zip(bounds, target)]
+        return self.find_dominating_ids(
+            query, bounds, max_resolution, [order_id or 0]
+        )[0]
+
+    def find_dominating_ids(
+        self,
+        targets: Sequence[Sequence[float]],
+        bounds: Sequence[float],
+        max_resolution: int,
+        order_ids: Sequence[int],
+    ) -> List[int]:
+        """Witness search of a block: one witness id (or 0) per target row.
+
+        ``targets`` holds the query rows column-wise, already capped at the
+        bounds (row ``i`` is ``min(bounds, alpha_r * c(p_i))``), so a plan
+        qualifies for row ``i`` exactly when its cost is ``<=`` that row;
+        ``bounds`` only sets the bucket cutoff.  ``order_ids[i]`` is the
+        interned order row ``i`` requires (0 accepts any plan).
+
+        Buckets are scanned in ascending first-metric order because
+        dominating plans are cheap plans, and every bucket is compared
+        against all rows still without a witness in one kernel call per
+        distinct order requirement.  Under the ``incremental_pareto`` flag,
+        unfiltered rows are compared against each bucket's maintained Pareto
+        front instead of the full bucket: a dominating row exists in the
+        bucket iff one exists on its front, and the expensive case -- a
+        miss, which scans every in-range bucket -- shrinks from O(bucket) to
+        O(front).  Order-filtered rows keep scanning full buckets, because
+        the only plan with the requested order may be off the front.
+        """
+        count = len(order_ids)
+        found = [0] * count
+        if count == 0 or not self._locations:
+            return found
+        ops = kernel.ops
+        bound_bucket = self._bucket_of(bounds)
         arena = self._arena
-        # Under the incremental_pareto flag, unfiltered witness searches scan
-        # each bucket's maintained Pareto front instead of the full bucket: a
-        # dominating row exists in the bucket iff one exists on its front,
-        # and the expensive case of this search -- a miss, which scans every
-        # in-range bucket end to end -- shrinks from O(bucket) to O(front).
-        use_fronts = order_id is None and flags.enabled("incremental_pareto")
+        use_fronts = flags.enabled("incremental_pareto")
+        pending: Dict[int, List[int]] = {}
+        for row, order_id in enumerate(order_ids):
+            pending.setdefault(order_id, []).append(row)
         for resolution in range(0, max_resolution + 1):
             buckets = self._levels.get(resolution)
             if not buckets:
                 continue
             for bucket_id in self._sorted_ids[resolution]:
-                if bucket_id > bucket_limit:
-                    # Every plan in this (and any later) bucket has a
-                    # first-metric cost above the bounds or the target, so
-                    # none of them can qualify.
+                if bucket_id > bound_bucket or not pending:
                     break
                 bucket = buckets[bucket_id]
-                if use_fronts:
-                    front = bucket.pareto_front()
-                    slot = front.matrix.first_dominating(combined)
-                    if slot != -1:
-                        return front.items[slot]
-                elif order_id is None:
-                    slot = bucket.matrix.first_dominating(combined)
-                    if slot != -1:
-                        return bucket.items[slot]
-                else:
-                    for slot in bucket.matrix.dominated_slots(combined):
-                        plan_id = bucket.items[slot]
-                        if arena.order_id_of(plan_id) == order_id:
-                            return plan_id
-        return 0
+                for order_id, rows in list(pending.items()):
+                    if order_id:
+                        block = bucket
+                        alive = bucket.order_mask(arena, order_id)
+                    else:
+                        block = bucket.pareto_front() if use_fronts else bucket
+                        alive = block.matrix.alive
+                    queries = (
+                        targets if len(rows) == count else ops.take(targets, rows)
+                    )
+                    slots = ops.first_leq_rows(block.matrix.columns, alive, queries)
+                    items = block.items
+                    left: List[int] = []
+                    for row, slot in zip(rows, slots):
+                        if slot < 0:
+                            left.append(row)
+                        else:
+                            found[row] = items[slot]
+                    if left:
+                        pending[order_id] = left
+                    else:
+                        del pending[order_id]
+        return found
 
     def find_dominating(
         self,

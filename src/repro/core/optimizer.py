@@ -195,10 +195,11 @@ class IncrementalOptimizer:
         self._state = OptimizerState(query, cell_base=cell_base)
         self._coverage = _CoverageTracker()
         self._plan_order = self._enumerate_plan_order()
-        # plan id -> result plan that approximated it during its last pruning;
-        # speeds up re-pruning of deferred candidates (see repro.core.pruning).
-        # None (witness_cache feature off) makes every re-pruning start cold.
-        self._witnesses: Optional[Dict[int, Plan]] = (
+        # plan id -> id of the result plan that approximated it during its
+        # last pruning; speeds up re-pruning of deferred candidates (see
+        # repro.core.pruning).  None (witness_cache feature off) makes every
+        # re-pruning start cold.
+        self._witnesses: Optional[Dict[int, int]] = (
             {} if flags.enabled("witness_cache") else None
         )
 
@@ -369,12 +370,16 @@ class IncrementalOptimizer:
         for tables, candidate_index in list(
             self._state.populated_candidate_sets().items()
         ):
-            retrievable = candidate_index.retrieve_ids(bounds, resolution)
-            for plan_id in retrievable:
-                candidate_index.remove_id(plan_id)
+            retrievable = candidate_index.take_ids(bounds, resolution)
             counters.candidate_retrievals += len(retrievable)
             self._prune_block(
-                retrievable, bounds, resolution, alpha, max_resolution, inserted_now
+                retrievable,
+                bounds,
+                resolution,
+                alpha,
+                max_resolution,
+                inserted_now,
+                tables,
             )
 
     def _generate_fresh_plans(
@@ -443,7 +448,7 @@ class IncrementalOptimizer:
                     )
             counters.join_plans_generated += len(block)
             self._prune_block(
-                block, bounds, resolution, alpha, max_resolution, inserted_now
+                block, bounds, resolution, alpha, max_resolution, inserted_now, subset
             )
 
     def _prune_block(
@@ -454,15 +459,23 @@ class IncrementalOptimizer:
         alpha: float,
         max_resolution: int,
         inserted_now: Dict[TableSet, List[int]],
+        tables: Optional[TableSet] = None,
     ) -> None:
-        """Prune a block of plan ids, grouped per table set, preserving order."""
+        """Prune a block of plan ids, grouped per table set, preserving order.
+
+        Callers whose block belongs to one known table set pass it as
+        ``tables``, which skips the per-plan grouping.
+        """
         if not plan_ids:
             return
         arena = self._factory.arena
         counters = self._state.counters
-        groups: Dict[TableSet, List[int]] = {}
-        for plan_id in plan_ids:
-            groups.setdefault(arena.tables_of(plan_id), []).append(plan_id)
+        if tables is None:
+            groups: Dict[TableSet, List[int]] = {}
+            for plan_id in plan_ids:
+                groups.setdefault(arena.tables_of(plan_id), []).append(plan_id)
+        else:
+            groups = {tables: plan_ids}
         for tables, group in groups.items():
             outcomes = prune_all_ids(
                 result_index=self._state.result_set(tables),
@@ -476,17 +489,23 @@ class IncrementalOptimizer:
                 respect_orders=self._respect_orders,
                 witnesses=self._witnesses,
             )
-            for plan_id, outcome in zip(group, outcomes):
-                if outcome is PruneOutcome.INSERTED:
-                    counters.plans_inserted += 1
-                    inserted_now.setdefault(tables, []).append(plan_id)
-                elif outcome is PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION:
-                    counters.plans_deferred += 1
-                elif outcome is PruneOutcome.OUT_OF_BOUNDS:
-                    counters.plans_out_of_bounds += 1
-                else:
-                    counters.plans_discarded += 1
-                    arena.tombstone(plan_id)
+            counters.plans_deferred += outcomes.count(
+                PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
+            )
+            counters.plans_out_of_bounds += outcomes.count(PruneOutcome.OUT_OF_BOUNDS)
+            if PruneOutcome.INSERTED in outcomes:
+                inserted = [
+                    plan_id
+                    for plan_id, outcome in zip(group, outcomes)
+                    if outcome is PruneOutcome.INSERTED
+                ]
+                counters.plans_inserted += len(inserted)
+                inserted_now.setdefault(tables, []).extend(inserted)
+            if PruneOutcome.DISCARDED in outcomes:
+                for plan_id, outcome in zip(group, outcomes):
+                    if outcome is PruneOutcome.DISCARDED:
+                        counters.plans_discarded += 1
+                        arena.tombstone(plan_id)
 
 
 @dataclass(frozen=True)

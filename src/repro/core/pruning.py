@@ -1,4 +1,4 @@
-"""Procedure ``Prune`` (Algorithm 3).
+"""Procedure ``Prune`` (Algorithm 3), applied a block of plans at a time.
 
 Given a new plan ``p`` for table set ``q``, the current cost bounds ``b``, the
 current resolution ``r`` and its precision factor ``alpha_r``, pruning decides
@@ -27,19 +27,46 @@ Following Section 4.3, the cost comparison is restricted to plans producing a
 compatible interesting tuple order: a result plan can only approximate the new
 plan when it provides at least the same ordering guarantee.
 
-Since the arena refactor the decision logic operates on arena primitives (plan
-ids, raw cost rows, interned order ids); :func:`prune_all_ids` is the
-optimizer's batched entry point (one kernel gather + scale per block), while
-:func:`prune` / :func:`prune_all` keep the object-level API over the same
-core, so both paths produce identical outcome sequences by construction.
+Block algorithm
+---------------
+
+The optimizer hands over whole blocks of plan ids of one table set
+(:func:`prune_all_ids`), and the outcome sequence must equal pruning the plans
+one by one in block order.  A plan's outcome depends on one fact only:
+whether a *witness* exists -- a result plan ``W`` registered at resolution
+``<= r`` with a compatible order and ``c(W) <= min(b, alpha_r * c(p))``.
+Within a block the result set only grows, and only through the block's own
+INSERTED plans, which sit at resolution ``r`` inside the bounds.  So a plan
+has a witness in sequence exactly when it has one in the result set as it
+was before the block, or some earlier plan of the block was inserted and
+approximates it.  The block is therefore decided in four steps:
+
+1. every cached witness (``witnesses``) is re-validated at once: one gather
+   of the witnesses' cost rows and one row-wise comparison against the
+   targets ``min(b, alpha_r * c(p))``;
+2. the plans still undecided are matched against the pre-block result set
+   with one block-vs-bucket kernel call per in-range bucket
+   (:meth:`PlanIndex.find_dominating_ids`);
+3. the rest walk in block order: an in-bounds plan nobody approximates is
+   inserted, and one kernel call claims every later undecided plan it
+   approximates with a compatible order; an out-of-bounds plan nobody
+   approximates stays a candidate for ``r``;
+4. the candidate and result index writes go in per (resolution, bucket) in
+   block order (:meth:`PlanIndex.insert_ids`), which creates buckets and
+   slots exactly as the per-plan inserts would.
+
+Which witness a plan records may differ from a per-plan run (an in-block
+plan and a pre-block plan can both qualify); the witness cache only promises
+*some* witness, and every cached witness is re-validated before use.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Dict, List, Optional, Sequence
 
-from repro import flags, kernel
+from repro import kernel
 from repro.costs.vector import CostVector
 from repro.core.index import PlanIndex
 from repro.obs import trace as obs_trace
@@ -48,7 +75,7 @@ from repro.plans.plan import Plan
 
 
 class PruneOutcome(enum.Enum):
-    """What happened to a plan handed to :func:`prune`."""
+    """What happened to a plan handed to :func:`prune_all_ids`."""
 
     #: The plan was inserted into the result plan set.
     INSERTED = "inserted"
@@ -76,120 +103,13 @@ def order_covers(provider: Plan, consumer: Plan) -> bool:
 
     A plan without an interesting order is covered by any plan; a plan with an
     interesting order is only covered by plans producing the same order.  The
-    pruning comparison uses this predicate so that plans producing a useful
-    tuple order are never pruned by cheaper unordered plans (the multi-objective
+    pruning comparison uses this rule so that plans producing a useful tuple
+    order are never pruned by cheaper unordered plans (the multi-objective
     generalization of Selinger's interesting-order rule, Section 4.3).
     """
     if consumer.interesting_order is None:
         return True
     return provider.interesting_order == consumer.interesting_order
-
-
-def _row_leq(row: Sequence[float], bounds: Sequence[float]) -> bool:
-    """Component-wise ``row <= bounds`` (dominance on raw cost rows)."""
-    for value, bound in zip(row, bounds):
-        if value > bound:
-            return False
-    return True
-
-
-def prune(
-    result_index: PlanIndex,
-    candidate_index: PlanIndex,
-    bounds: CostVector,
-    resolution: int,
-    alpha: float,
-    max_resolution: int,
-    plan: Plan,
-    respect_orders: bool = True,
-    witnesses: Optional[Dict[int, Plan]] = None,
-) -> PruneOutcome:
-    """Apply procedure ``Prune`` to a single plan.
-
-    Parameters
-    ----------
-    result_index, candidate_index:
-        The result plan set ``Res^q`` and candidate plan set ``Cand^q`` of the
-        plan's table set.
-    bounds:
-        Current cost bounds ``b``.
-    resolution:
-        Current resolution level ``r``.
-    alpha:
-        The precision factor ``alpha_r`` for the current resolution.
-    max_resolution:
-        ``r_M``; plans approximated at the maximal resolution are discarded.
-    plan:
-        The new plan ``p`` to be pruned.
-    respect_orders:
-        When true (default), only result plans with a compatible interesting
-        order may approximate the new plan.
-    witnesses:
-        Optional cache mapping a plan id to the result plan that approximated
-        it in an earlier pruning (its *witness*).  When a deferred candidate is
-        re-pruned at the next resolution level, the witness usually still
-        approximates it, so the full existence check is skipped.  The cache is
-        purely an optimization: its hits satisfy exactly the condition of
-        Algorithm 3 line 7.
-
-    Returns
-    -------
-    PruneOutcome
-        What happened to the plan.
-    """
-    if alpha < 1.0:
-        raise ValueError("the precision factor alpha_r must be >= 1")
-    arena = plan.arena
-    cost_row = arena.cost_row(plan.plan_id)
-    scaled_row = tuple(value * alpha for value in cost_row)
-    return _prune_core(
-        result_index,
-        candidate_index,
-        tuple(bounds),
-        resolution,
-        max_resolution,
-        arena,
-        plan.plan_id,
-        cost_row,
-        scaled_row,
-        respect_orders,
-        witnesses,
-    )
-
-
-def prune_all(
-    result_index: PlanIndex,
-    candidate_index: PlanIndex,
-    bounds: CostVector,
-    resolution: int,
-    alpha: float,
-    max_resolution: int,
-    plans: Sequence[Plan],
-    respect_orders: bool = True,
-    witnesses: Optional[Dict[int, Plan]] = None,
-) -> List[PruneOutcome]:
-    """Apply procedure ``Prune`` to a block of plan handles of one table set.
-
-    The plans are processed strictly in order, so the outcome sequence is
-    identical to calling :func:`prune` once per plan -- a plan inserted early
-    in the block can approximate (and thereby defer) a later one.  All plans
-    must belong to the same table set as the given result and candidate
-    indexes and to one arena; returns one :class:`PruneOutcome` per plan.
-    """
-    if not plans:
-        return []
-    return prune_all_ids(
-        result_index,
-        candidate_index,
-        bounds,
-        resolution,
-        alpha,
-        max_resolution,
-        plans[0].arena,
-        [plan.plan_id for plan in plans],
-        respect_orders,
-        witnesses,
-    )
 
 
 def prune_all_ids(
@@ -202,151 +122,235 @@ def prune_all_ids(
     arena: PlanArena,
     plan_ids: Sequence[int],
     respect_orders: bool = True,
-    witnesses: Optional[Dict[int, Plan]] = None,
+    witnesses: Optional[Dict[int, int]] = None,
 ) -> List[PruneOutcome]:
-    """Apply procedure ``Prune`` to a block of arena plan ids.
+    """Apply procedure ``Prune`` to a block of arena plan ids of one table set.
 
-    The batch entry point of the optimizer (seeding, candidate
-    reconsideration and fresh-plan generation in :mod:`repro.core.optimizer`):
-    the block's cost rows are gathered from the arena matrix and scaled by
-    ``alpha_r`` with one kernel call each, then every plan's witness search
-    runs through the batched kernel of the result index.  Outcomes are
-    identical to pruning each plan the moment it was produced.
+    Parameters
+    ----------
+    result_index, candidate_index:
+        The result plan set ``Res^q`` and candidate plan set ``Cand^q`` of the
+        plans' table set.
+    bounds:
+        Current cost bounds ``b``.
+    resolution:
+        Current resolution level ``r``.
+    alpha:
+        The precision factor ``alpha_r`` for the current resolution.
+    max_resolution:
+        ``r_M``; plans approximated at the maximal resolution are discarded.
+    arena, plan_ids:
+        The block: ids into ``arena``, decided in this order.
+    respect_orders:
+        When true (default), only result plans with a compatible interesting
+        order may approximate a plan.
+    witnesses:
+        Optional cache mapping a plan id to the id of the result plan that
+        approximated it in an earlier pruning (its *witness*).  When a
+        deferred candidate is re-pruned at the next resolution level, the
+        witness usually still approximates it, so the search is skipped.  The
+        cache is purely an optimization: its hits satisfy exactly the
+        condition of Algorithm 3 line 7.
+
+    Returns
+    -------
+    List[PruneOutcome]
+        One outcome per plan, identical to pruning the plans one at a time in
+        block order (see the module docstring for why).
     """
     if alpha < 1.0:
         raise ValueError("the precision factor alpha_r must be >= 1")
     if not plan_ids:
         return []
-    return _prune_all_ids_traced(
-        result_index,
-        candidate_index,
-        bounds,
-        resolution,
-        alpha,
-        max_resolution,
-        arena,
-        plan_ids,
-        respect_orders,
-        witnesses,
-    )
+    with obs_trace.span(
+        "pruning.prune_block", block_size=len(plan_ids), resolution=resolution
+    ):
+        return _prune_block(
+            result_index,
+            candidate_index,
+            tuple(bounds),
+            resolution,
+            alpha,
+            max_resolution,
+            arena,
+            plan_ids,
+            respect_orders,
+            witnesses,
+        )
 
 
-def _prune_all_ids_traced(
+def _prune_block(
     result_index: PlanIndex,
     candidate_index: PlanIndex,
-    bounds: CostVector,
+    bounds_row: tuple,
     resolution: int,
     alpha: float,
     max_resolution: int,
     arena: PlanArena,
     plan_ids: Sequence[int],
-    respect_orders: bool = True,
-    witnesses: Optional[Dict[int, Plan]] = None,
-) -> List[PruneOutcome]:
-    with obs_trace.span(
-        "pruning.prune_block", block_size=len(plan_ids), resolution=resolution
-    ):
-        with obs_trace.span(
-            "kernel.block",
-            op="take+scale_columns",
-            backend=kernel.backend_name(),
-            block_size=len(plan_ids),
-        ):
-            slots = [plan_id - 1 for plan_id in plan_ids]
-            columns = kernel.ops.take(arena.costs.columns, slots)
-            scaled_columns = kernel.ops.scale_columns(columns, alpha)
-        cost_rows = list(zip(*columns))
-        scaled_rows = list(zip(*scaled_columns))
-        bounds_row = tuple(bounds)
-        # The whole block shares one bound vector; bucket it once for the
-        # witness searches of every plan in the block.  With the
-        # ``bounds_bucket`` feature ablated, None makes every retrieval
-        # re-bucket per plan.
-        bounds_bucket = (
-            result_index.bucket_of(bounds_row)
-            if flags.enabled("bounds_bucket")
-            else None
-        )
-        outcomes: List[PruneOutcome] = []
-        for position, plan_id in enumerate(plan_ids):
-            outcomes.append(
-                _prune_core(
-                    result_index,
-                    candidate_index,
-                    bounds_row,
-                    resolution,
-                    max_resolution,
-                    arena,
-                    plan_id,
-                    cost_rows[position],
-                    scaled_rows[position],
-                    respect_orders,
-                    witnesses,
-                    bounds_bucket,
-                )
-            )
-        return outcomes
-
-
-def _prune_core(
-    result_index: PlanIndex,
-    candidate_index: PlanIndex,
-    bounds_row: Tuple[float, ...],
-    resolution: int,
-    max_resolution: int,
-    arena: PlanArena,
-    plan_id: int,
-    cost_row: Tuple[float, ...],
-    scaled_row: Tuple[float, ...],
     respect_orders: bool,
-    witnesses: Optional[Dict[int, Plan]],
-    bounds_bucket: Optional[float] = None,
-) -> PruneOutcome:
-    """Prune one plan given its raw and ``alpha_r``-scaled cost rows."""
-    order_id = arena.order_id_of(plan_id)
-    witness_id = 0
-    if witnesses is not None:
-        cached = witnesses.get(plan_id)
-        if cached is not None:
-            cached_id = cached.plan_id
-            if (
-                result_index.contains_id(cached_id)
-                and result_index.resolution_of_id(cached_id) <= resolution
-                and (
-                    not respect_orders
-                    or order_id == 0
-                    or arena.order_id_of(cached_id) == order_id
-                )
+    witnesses: Optional[Dict[int, int]],
+) -> List[PruneOutcome]:
+    ops = kernel.ops
+    count = len(plan_ids)
+    with obs_trace.span(
+        "kernel.block",
+        op="take+scale+minimum",
+        backend=kernel.backend_name(),
+        block_size=count,
+    ):
+        columns = ops.take(arena.costs.columns, [plan_id - 1 for plan_id in plan_ids])
+        # A result plan approximates row i iff its cost is <= targets[i].
+        targets = ops.minimum_columns(ops.scale_columns(columns, alpha), bounds_row)
+    # The order a witness must produce: 0 accepts any plan.
+    required = arena.order_ids_of(plan_ids) if respect_orders else [0] * count
+    found = [0] * count
+
+    # Step 1: re-validate the cached witnesses in one gather-and-compare.
+    if witnesses:
+        _check_cached_witnesses(
+            result_index,
+            resolution,
+            arena,
+            plan_ids,
+            targets,
+            required,
+            witnesses,
+            found,
+        )
+
+    # Step 2: one block-vs-bucket pass against the pre-block result set.
+    open_rows = [row for row in range(count) if not found[row]]
+    if open_rows and len(result_index):
+        whole = len(open_rows) == count
+        hits = result_index.find_dominating_ids(
+            targets if whole else ops.take(targets, open_rows),
+            bounds_row,
+            resolution,
+            required if whole else [required[row] for row in open_rows],
+        )
+        for row, witness in zip(open_rows, hits):
+            found[row] = witness
+
+    # Step 3: walk the rest in block order, one step per insertion.
+    inserted: List[int] = []
+    pending = array("b", [0 if witness else 1 for witness in found])
+    if any(pending):
+        required_column = array("q", required)
+        for row in ops.leq_slots(columns, pending, bounds_row):
+            if not pending[row]:
+                continue  # claimed by a plan inserted earlier in the block
+            pending[row] = 0
+            inserted.append(row)
+            plan_id = plan_ids[row]
+            for claimed in ops.claim_dominated(
+                targets,
+                pending,
+                tuple(col[row] for col in columns),
+                row + 1,
+                required_column,
+                required[row],
             ):
-                cached_row = arena.cost_row(cached_id)
-                if _row_leq(cached_row, bounds_row) and _row_leq(
-                    cached_row, scaled_row
-                ):
-                    witness_id = cached_id
-    if witness_id == 0:
-        if respect_orders and order_id != 0:
-            # Only plans producing the same tuple order may approximate this one.
-            witness_id = result_index.find_dominating_id(
-                scaled_row, bounds_row, resolution, order_id, bounds_bucket
-            )
-        else:
-            # A plan without ordering requirements is coverable by any plan.
-            witness_id = result_index.find_dominating_id(
-                scaled_row, bounds_row, resolution, None, bounds_bucket
-            )
-    if witness_id:
-        if witnesses is not None:
-            witnesses[plan_id] = arena.plan(witness_id)
-        if resolution < max_resolution:
-            candidate_index.insert_id(plan_id, resolution + 1, arena, cost_row)
-            return PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
-        if witnesses is not None:
-            witnesses.pop(plan_id, None)
-        return PruneOutcome.DISCARDED
-    if not _row_leq(cost_row, bounds_row):
-        candidate_index.insert_id(plan_id, resolution, arena, cost_row)
-        return PruneOutcome.OUT_OF_BOUNDS
-    result_index.insert_id(plan_id, resolution, arena, cost_row)
+                found[claimed] = plan_id
+
+    # Outcomes and witness cache, in block order.
+    inserted_set = set(inserted)
+    if resolution < max_resolution:
+        approximated = PruneOutcome.DEFERRED_TO_HIGHER_RESOLUTION
+        candidate_rows = [row for row in range(count) if row not in inserted_set]
+        candidate_levels = [
+            resolution + 1 if found[row] else resolution for row in candidate_rows
+        ]
+    else:
+        approximated = PruneOutcome.DISCARDED
+        candidate_rows = [
+            row for row in range(count) if not found[row] and row not in inserted_set
+        ]
+        candidate_levels = [resolution] * len(candidate_rows)
+    outcomes = [
+        approximated
+        if found[row]
+        else PruneOutcome.INSERTED
+        if row in inserted_set
+        else PruneOutcome.OUT_OF_BOUNDS
+        for row in range(count)
+    ]
     if witnesses is not None:
-        witnesses.pop(plan_id, None)
-    return PruneOutcome.INSERTED
+        for row in inserted:
+            witnesses.pop(plan_ids[row], None)
+        approximated_rows = [row for row in range(count) if found[row]]
+        if approximated is PruneOutcome.DISCARDED:
+            for row in approximated_rows:
+                witnesses.pop(plan_ids[row], None)
+        else:
+            witnesses.update(
+                zip(
+                    map(plan_ids.__getitem__, approximated_rows),
+                    map(found.__getitem__, approximated_rows),
+                )
+            )
+
+    # Step 4: the index writes, per (resolution, bucket) in block order.
+    _insert_rows(
+        candidate_index, arena, plan_ids, columns, candidate_rows, candidate_levels
+    )
+    _insert_rows(
+        result_index, arena, plan_ids, columns, inserted, [resolution] * len(inserted)
+    )
+    return outcomes
+
+
+def _check_cached_witnesses(
+    result_index: PlanIndex,
+    resolution: int,
+    arena: PlanArena,
+    plan_ids: Sequence[int],
+    targets: Sequence[array],
+    required: Sequence[int],
+    witnesses: Dict[int, int],
+    found: List[int],
+) -> None:
+    """Fill ``found`` for the rows whose cached witness still qualifies.
+
+    A cached witness qualifies when it is registered in the result index at a
+    resolution ``<= r``, produces the required order, and its cost is ``<=``
+    the row's target.
+    """
+    lookup = list(map(witnesses.get, plan_ids))
+    rows = [row for row, witness in enumerate(lookup) if witness is not None]
+    if not rows:
+        return
+    cached = [lookup[row] for row in rows]
+    levels = result_index.resolutions_of_ids(cached)
+    orders = arena.order_ids_of(cached)
+    keep = [
+        index
+        for index, (row, level, order) in enumerate(zip(rows, levels, orders))
+        if 0 <= level <= resolution and (not required[row] or order == required[row])
+    ]
+    if not keep:
+        return
+    rows = [rows[index] for index in keep]
+    cached = [cached[index] for index in keep]
+    ops = kernel.ops
+    witness_costs = ops.take(arena.costs.columns, [witness - 1 for witness in cached])
+    for index in ops.leq_rows(witness_costs, ops.take(targets, rows)):
+        found[rows[index]] = cached[index]
+
+
+def _insert_rows(
+    index: PlanIndex,
+    arena: PlanArena,
+    plan_ids: Sequence[int],
+    columns: Sequence[array],
+    rows: List[int],
+    levels: List[int],
+) -> None:
+    if not rows:
+        return
+    if len(rows) == len(plan_ids):
+        index.insert_ids(plan_ids, levels, arena, columns)
+        return
+    index.insert_ids(
+        [plan_ids[row] for row in rows], levels, arena, kernel.ops.take(columns, rows)
+    )

@@ -112,6 +112,15 @@ class CostMatrix:
         return self._columns
 
     @property
+    def alive(self) -> array:
+        """The raw liveness bitmap (``array('b')``), parallel to :attr:`columns`.
+
+        Exposed for block kernels that take an explicit mask; treat as
+        read-only.
+        """
+        return self._alive
+
+    @property
     def live_count(self) -> int:
         """Number of live (non-tombstoned) rows."""
         return self._live
@@ -357,6 +366,12 @@ class CostBlock(Generic[T]):
         slot = self.matrix.append(cost)
         self.items.append(item)
         return slot
+
+    def extend(self, columns: Sequence[Sequence[float]], items: Sequence[T]) -> int:
+        """Bulk-append live rows given column-wise; returns the first slot."""
+        first = self.matrix.extend_columns(columns, len(items))
+        self.items.extend(items)
+        return first
 
     def kill(self, slot: int) -> None:
         """Tombstone a slot; call :meth:`compact_if_needed` after a batch."""

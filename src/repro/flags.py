@@ -11,20 +11,18 @@ in isolation and attribute the speedup honestly:
     of join combinations with one kernel call per (operator, metric).  Off:
     the per-plan scalar fallback (one :meth:`MultiObjectiveCostModel.combine`
     call per combination) — same costs, same arena ids, same order.
-``bounds_bucket``
-    :func:`repro.core.pruning.prune_all_ids` pre-computes the log-bucket of
-    the bounds row once per block.  Off: every retrieval re-buckets per plan.
 ``witness_cache``
-    The incremental optimizer remembers, per deferred plan, the result plan
-    that approximated it last time (re-checked first on re-pruning).  Off:
-    every re-pruning starts from scratch.
+    The incremental optimizer remembers, per deferred plan, the id of the
+    result plan that approximated it last time; on re-pruning, a block's
+    cached witnesses are re-validated with one gather-and-compare before any
+    index search.  Off: every re-pruning starts from scratch.
 ``delta_sets``
     Section 4.2's Δ-set optimization: under unchanged bounds, only newly
     inserted partial plans are joined.  Off: every invocation re-enumerates
     all pairs (``IsFresh`` still deduplicates, so the frontier — and every
     counter except ``pairs_enumerated`` — is unchanged).
 ``incremental_pareto``
-    :meth:`repro.core.index.PlanIndex.find_dominating_id` serves unfiltered
+    :meth:`repro.core.index.PlanIndex.find_dominating_ids` serves unfiltered
     witness searches from per-bucket Pareto fronts that are built lazily and
     maintained incrementally across invocations (insertions fold into the
     front; removing a front member invalidates it for lazy rebuild).  Off:
@@ -47,6 +45,11 @@ in isolation and attribute the speedup honestly:
     untouched.  Tracing never changes answers — the differential suites
     assert traced frontiers are bit-identical to untraced — so its
     ablation row measures pure instrumentation cost.
+
+Block pruning (:func:`repro.core.pruning.prune_all_ids`) has no flag: it is
+the only pruning path, and the property suite
+(``tests/core/test_prune_block.py``) holds it to a per-row sequential
+reference instead.
 
 Flags are global and read per call site (one dict lookup on a hot-path
 *block* boundary, so the overhead is unmeasurable).  The environment lowering
@@ -76,7 +79,6 @@ FEATURE_ENV_PREFIX = "REPRO_FEATURE_"
 #: nothing unless asked for), so its ablation cell turns it *on*.
 KNOWN_FLAGS: Dict[str, bool] = {
     "block_costing": True,
-    "bounds_bucket": True,
     "witness_cache": True,
     "delta_sets": True,
     "incremental_pareto": True,

@@ -375,6 +375,63 @@ int repro_pareto_mask(const double *const *cols, i64 dims,
     free(slots); free(rows); free(front); free(keys); free(idx);
     return 0;
 }
+/* row-wise min(col, vec); ties keep the vector value */
+void repro_minimum(const double *src, double *dst, i64 n, double bound) {
+    for (i64 i = 0; i < n; i++)
+        dst[i] = src[i] < bound ? src[i] : bound;
+}
+
+/* indices i where row i of a is <= row i of b component-wise */
+i64 repro_leq_rows(const double *const *a, const double *const *b, i64 dims,
+                   i64 n, i64 *out) {
+    i64 count = 0;
+    for (i64 i = 0; i < n; i++) {
+        int ok = 1;
+        for (i64 k = 0; k < dims; k++)
+            if (a[k][i] > b[k][i]) { ok = 0; break; }
+        if (ok) out[count++] = i;
+    }
+    return count;
+}
+
+/* per query row: first live slot <= the query, or -1 */
+void repro_first_leq_rows(const double *const *cols, i64 dims,
+                          const signed char *alive, i64 n,
+                          const double *const *queries, i64 m, i64 *out) {
+    for (i64 q = 0; q < m; q++) {
+        i64 found = -1;
+        for (i64 i = 0; i < n; i++) {
+            if (!alive[i]) continue;
+            int ok = 1;
+            for (i64 k = 0; k < dims; k++)
+                if (cols[k][i] > queries[k][q]) { ok = 0; break; }
+            if (ok) { found = i; break; }
+        }
+        out[q] = found;
+    }
+}
+
+/* close the open rows j >= start with a compatible order requirement whose
+   columns are >= vec; returns how many were closed (indices in out) */
+i64 repro_claim_dominated(const double *const *cols, i64 dims,
+                          signed char *open_rows, i64 n, const double *vec,
+                          i64 start, const i64 *required, i64 order,
+                          i64 *out) {
+    i64 count = 0;
+    for (i64 j = start; j < n; j++) {
+        if (!open_rows[j]) continue;
+        const i64 need = required[j];
+        if (need != 0 && need != order) continue;
+        int ok = 1;
+        for (i64 k = 0; k < dims; k++)
+            if (cols[k][j] < vec[k]) { ok = 0; break; }
+        if (ok) {
+            open_rows[j] = 0;
+            out[count++] = j;
+        }
+    }
+    return count;
+}
 """
 
 
@@ -488,6 +545,14 @@ def _load() -> ctypes.CDLL:
     lib.repro_combine.restype = ctypes.c_int
     lib.repro_pareto_mask.argtypes = [p, i64, p, i64, p]
     lib.repro_pareto_mask.restype = ctypes.c_int
+    lib.repro_minimum.argtypes = [p, p, i64, ctypes.c_double]
+    lib.repro_minimum.restype = None
+    lib.repro_leq_rows.argtypes = [p, p, i64, i64, p]
+    lib.repro_leq_rows.restype = i64
+    lib.repro_first_leq_rows.argtypes = [p, i64, p, i64, p, i64, p]
+    lib.repro_first_leq_rows.restype = None
+    lib.repro_claim_dominated.argtypes = [p, i64, p, i64, p, i64, p, i64, p]
+    lib.repro_claim_dominated.restype = i64
     return lib
 
 
@@ -711,3 +776,95 @@ def pareto_mask(columns: Columns, alive: array) -> List[bool]:
     if isinstance(alive, array):
         return list(compress(bools, alive.tolist()))
     return list(compress(bools, alive))
+
+
+# ----------------------------------------------------------------------
+# Block pruning ops (same contracts as the python backend)
+# ----------------------------------------------------------------------
+def _require_rows(columns: Columns, dims: int, rows: int, what: str) -> None:
+    """Reject column sets the C loops would read past the end of."""
+    if len(columns) != dims or any(len(col) < rows for col in columns):
+        raise ValueError(
+            f"{what}: expected {dims} columns of at least {rows} values"
+        )
+
+
+def minimum_columns(columns: Columns, vector: Vector) -> List[array]:
+    """Component-wise ``min(row, vector)``; ties keep ``vector``'s value."""
+    if not columns or len(columns[0]) < SMALL_BLOCK:
+        return _py.minimum_columns(columns, vector)
+    out: List[array] = []
+    for col, bound in zip(columns, vector):
+        n = len(col)
+        dst = _fresh_column(n)
+        _LIB.repro_minimum(_addr(col), dst.buffer_info()[0], n, bound)
+        out.append(dst)
+    return out
+
+
+def leq_rows(columns: Columns, other: Columns) -> List[int]:
+    """Indices ``i`` where row ``i`` of ``columns`` is ``<=`` row ``i`` of ``other``."""
+    n = len(columns[0]) if columns else 0
+    if n < SMALL_BLOCK:
+        return _py.leq_rows(columns, other)
+    _require_rows(other, len(columns), n, "leq_rows")
+    _require_rows(columns, len(columns), n, "leq_rows")
+    left = _col_addrs(columns)
+    right = _col_addrs(other)
+    out = _scratch.out(n)
+    count = _LIB.repro_leq_rows(
+        left.buffer_info()[0], right.buffer_info()[0], len(columns), n, out
+    )
+    return _slots_list(out, count)
+
+
+def first_leq_rows(columns: Columns, alive: array, queries: Columns) -> List[int]:
+    """Per query row: slot of the first live row ``<=`` it, or ``-1``."""
+    m = len(queries[0]) if queries else 0
+    n = len(alive)
+    if m == 0:
+        return []
+    if n * m < SMALL_BLOCK * SMALL_BLOCK:
+        return _py.first_leq_rows(columns, alive, queries)
+    _require_rows(columns, len(columns), n, "first_leq_rows")
+    _require_rows(queries, len(columns), m, "first_leq_rows queries")
+    addrs = _col_addrs(columns)
+    query_addrs = _col_addrs(queries)
+    out = _scratch.out(m)
+    _LIB.repro_first_leq_rows(
+        addrs.buffer_info()[0], len(columns), _addr(alive), n,
+        query_addrs.buffer_info()[0], m, out,
+    )
+    return _slots_list(out, m)
+
+
+def claim_dominated(
+    columns: Columns,
+    open_rows: array,
+    vector: Vector,
+    start: int,
+    required: array,
+    order: int,
+) -> List[int]:
+    """Close and return the open rows ``j >= start`` that ``vector`` dominates."""
+    n = len(open_rows)
+    if n - start < SMALL_BLOCK:
+        return _py.claim_dominated(columns, open_rows, vector, start, required, order)
+    _require_rows(columns, len(vector), n, "claim_dominated")
+    if (
+        start < 0
+        or not isinstance(required, array)
+        or required.typecode != "q"
+        or len(required) < n
+    ):
+        raise ValueError(
+            "claim_dominated: required must be an array('q') covering every row"
+        )
+    addrs = _col_addrs(columns)
+    vec = _vec(vector)
+    out = _scratch.out(n)
+    count = _LIB.repro_claim_dominated(
+        addrs.buffer_info()[0], len(columns), _addr(open_rows), n,
+        vec.buffer_info()[0], start, _addr(required), order, out,
+    )
+    return _slots_list(out, count)

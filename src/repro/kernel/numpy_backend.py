@@ -32,6 +32,11 @@ SMALL_BLOCK = 16
 #: same few hundred KiB as a 4k one.
 PARETO_TILE = 1024
 
+#: Element budget of one :func:`first_leq_rows` broadcast tile (rows x
+#: queries).  The boolean temporaries stay near 1 MiB whatever the sizes of
+#: the bucket and the query block.
+ROWS_TILE_ELEMENTS = 1 << 20
+
 Columns = Sequence[array]
 Vector = Sequence[float]
 
@@ -228,3 +233,99 @@ def pareto_mask(columns: Columns, alive: array) -> List[bool]:
     keep = np.zeros(m, dtype=bool)
     keep[order] = keep_sorted
     return keep.tolist()
+
+
+# ----------------------------------------------------------------------
+# Block pruning ops (same contracts as the python backend)
+# ----------------------------------------------------------------------
+def _int8_view(flags) -> np.ndarray:
+    memory = getattr(flags, "memory", None)
+    if memory is not None:
+        return np.frombuffer(memory(), dtype=np.int8)
+    return np.frombuffer(flags, dtype=np.int8)
+
+
+def minimum_columns(columns: Columns, vector: Vector) -> List[array]:
+    """Component-wise ``min(row, vector)``; ties keep ``vector``'s value."""
+    if not columns or len(columns[0]) < SMALL_BLOCK:
+        return _py.minimum_columns(columns, vector)
+    out: List[array] = []
+    for col, bound in zip(columns, vector):
+        values = _column_view(col)
+        out.append(_as_array(np.where(values < bound, values, bound)))
+    return out
+
+
+def leq_rows(columns: Columns, other: Columns) -> List[int]:
+    """Indices ``i`` where row ``i`` of ``columns`` is ``<=`` row ``i`` of ``other``."""
+    if not columns or len(columns[0]) < SMALL_BLOCK:
+        return _py.leq_rows(columns, other)
+    mask = np.ones(len(columns[0]), dtype=bool)
+    for col, bound in zip(columns, other):
+        np.logical_and(mask, _column_view(col) <= _column_view(bound), out=mask)
+    return np.nonzero(mask)[0].tolist()
+
+
+def first_leq_rows(columns: Columns, alive: array, queries: Columns) -> List[int]:
+    """Per query row: slot of the first live row ``<=`` it, or ``-1``.
+
+    Live rows are compared against the queries in tiles of at most
+    :data:`ROWS_TILE_ELEMENTS` (row, query) pairs, in slot order, and a query
+    leaves the tile loop at its first hit.
+    """
+    m = len(queries[0]) if queries else 0
+    n = len(alive)
+    if m == 0:
+        return []
+    if n * m < SMALL_BLOCK * SMALL_BLOCK:
+        return _py.first_leq_rows(columns, alive, queries)
+    live = np.nonzero(_alive_view(alive))[0]
+    found = np.full(m, -1, dtype=np.int64)
+    if live.size == 0:
+        return found.tolist()
+    rows = [_column_view(col)[live] for col in columns]
+    wanted = [_column_view(col) for col in queries]
+    row_tile = max(1, min(live.size, ROWS_TILE_ELEMENTS // max(1, min(m, 4096))))
+    query_tile = max(1, ROWS_TILE_ELEMENTS // row_tile)
+    for qstart in range(0, m, query_tile):
+        pending = np.arange(qstart, min(qstart + query_tile, m))
+        for rstart in range(0, live.size, row_tile):
+            if pending.size == 0:
+                break
+            rstop = min(rstart + row_tile, live.size)
+            mask = np.ones((rstop - rstart, pending.size), dtype=bool)
+            for row_col, query_col in zip(rows, wanted):
+                np.logical_and(
+                    mask,
+                    row_col[rstart:rstop, None] <= query_col[pending][None, :],
+                    out=mask,
+                )
+            hit = mask.any(axis=0)
+            if hit.any():
+                first = mask.argmax(axis=0)
+                found[pending[hit]] = live[rstart + first[hit]]
+                pending = pending[~hit]
+    return found.tolist()
+
+
+def claim_dominated(
+    columns: Columns,
+    open_rows: array,
+    vector: Vector,
+    start: int,
+    required: array,
+    order: int,
+) -> List[int]:
+    """Close and return the open rows ``j >= start`` that ``vector`` dominates."""
+    n = len(open_rows)
+    if n - start < SMALL_BLOCK:
+        return _py.claim_dominated(columns, open_rows, vector, start, required, order)
+    flags_view = _int8_view(open_rows)
+    need = np.frombuffer(required, dtype=np.int64)[start:]
+    mask = flags_view[start:] != 0
+    np.logical_and(mask, (need == 0) | (need == order), out=mask)
+    for col, bound in zip(columns, vector):
+        np.logical_and(mask, _column_view(col)[start:] >= bound, out=mask)
+    hits = np.nonzero(mask)[0] + start
+    flags_view[hits] = 0
+    return hits.tolist()

@@ -211,3 +211,90 @@ def pareto_mask(columns: Columns, alive: array) -> List[bool]:
             frontier.append(row)
             keep[position] = True
     return keep
+
+
+# ----------------------------------------------------------------------
+# Block pruning ops (one call per prune block / index bucket)
+# ----------------------------------------------------------------------
+def minimum_columns(columns: Columns, vector: Vector) -> List[array]:
+    """Component-wise ``min(row, vector)`` of every row; returns new columns.
+
+    Ties keep ``vector``'s value (``x if x < v else v``) in every backend,
+    so the results are bit-identical even for signed zeros.
+    """
+    return [
+        array("d", (x if x < bound else bound for x in col))
+        for col, bound in zip(columns, vector)
+    ]
+
+
+def leq_rows(columns: Columns, other: Columns) -> List[int]:
+    """Indices ``i`` where row ``i`` of ``columns`` is ``<=`` row ``i`` of ``other``."""
+    if not columns:
+        return []
+    n = len(columns[0])
+    pairs = list(zip(columns, other))
+    out: List[int] = []
+    for i in range(n):
+        for col, bound in pairs:
+            if col[i] > bound[i]:
+                break
+        else:
+            out.append(i)
+    return out
+
+
+def first_leq_rows(columns: Columns, alive: array, queries: Columns) -> List[int]:
+    """Per query row: slot of the first live row ``<=`` it, or ``-1``.
+
+    The block form of :func:`first_leq`: ``queries`` holds one query row per
+    index (column-wise, same dimensionality as ``columns``).
+    """
+    if not queries:
+        return []
+    live = [i for i in range(len(alive)) if alive[i]]
+    rows = [tuple(col[i] for col in columns) for i in live]
+    out: List[int] = []
+    for query in zip(*queries):
+        found = -1
+        for slot, row in zip(live, rows):
+            for value, bound in zip(row, query):
+                if value > bound:
+                    break
+            else:
+                found = slot
+                break
+        out.append(found)
+    return out
+
+
+def claim_dominated(
+    columns: Columns,
+    open_rows: array,
+    vector: Vector,
+    start: int,
+    required: array,
+    order: int,
+) -> List[int]:
+    """Close and return the open rows ``j >= start`` that ``vector`` dominates.
+
+    Row ``j`` qualifies when ``open_rows[j]`` is set, its order requirement
+    ``required[j]`` is 0 (any order) or equals ``order``, and
+    ``columns[.][j] >= vector`` component-wise.  Qualifying rows get
+    ``open_rows[j] = 0``; their indices are returned in ascending order.
+    """
+    n = len(open_rows)
+    out: List[int] = []
+    for j in range(start, n):
+        if not open_rows[j]:
+            continue
+        need = required[j]
+        if need and need != order:
+            continue
+        for col, bound in zip(columns, vector):
+            if col[j] < bound:
+                break
+        else:
+            open_rows[j] = 0
+            out.append(j)
+    return out

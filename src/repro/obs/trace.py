@@ -365,14 +365,40 @@ def export_chrome_trace(spans: Iterable[Dict[str, Any]], path) -> None:
 
 
 def summarize(spans: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Aggregate spans by name: count and total/self-exclusive duration."""
-    totals: Dict[str, Dict[str, Any]] = {}
+    """Aggregate spans by name: count, total and self (exclusive) duration.
+
+    ``seconds`` sums each span's inclusive duration.  ``self_seconds`` sums
+    each span's duration minus the durations of its direct children (the
+    spans whose ``parent_id`` is its ``span_id``), so the self times of a
+    single-threaded trace add up to the root spans' total.  Children that run
+    concurrently (cross-process shard spans) can cover more than their
+    parent; a span's self time is clamped at zero then.  Unfinished spans
+    count as zero-length.
+    """
+    spans = list(spans)
+    durations: List[float] = []
+    child_seconds: Dict[str, float] = {}
     for span_dict in spans:
         end = span_dict.get("end")
         duration = 0.0 if end is None else max(0.0, end - span_dict["start"])
-        row = totals.setdefault(
-            span_dict["name"], {"name": span_dict["name"], "count": 0, "seconds": 0.0}
-        )
+        durations.append(duration)
+        parent = span_dict.get("parent_id")
+        if parent is not None:
+            child_seconds[parent] = child_seconds.get(parent, 0.0) + duration
+    totals: Dict[str, Dict[str, Any]] = {}
+    for span_dict, duration in zip(spans, durations):
+        name = span_dict["name"]
+        row = totals.get(name)
+        if row is None:
+            row = totals[name] = {
+                "name": name,
+                "count": 0,
+                "seconds": 0.0,
+                "self_seconds": 0.0,
+            }
         row["count"] += 1
         row["seconds"] += duration
+        row["self_seconds"] += max(
+            0.0, duration - child_seconds.get(span_dict.get("span_id"), 0.0)
+        )
     return sorted(totals.values(), key=lambda row: (-row["seconds"], row["name"]))

@@ -46,7 +46,6 @@ class TestFeatureRegistry:
             "numpy_kernel",
             "native_kernel",
             "block_costing",
-            "bounds_bucket",
             "witness_cache",
             "delta_sets",
             "incremental_pareto",

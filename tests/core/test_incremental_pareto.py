@@ -1,7 +1,8 @@
 """Incremental per-bucket Pareto fronts of :class:`PlanIndex`.
 
 The ``incremental_pareto`` flag routes unfiltered witness searches
-(:meth:`PlanIndex.find_dominating_id` with ``order_id=None``) through a
+(:meth:`PlanIndex.find_dominating_ids` rows with order 0, reached here
+through its one-row form :meth:`PlanIndex.find_dominating_id`) through a
 per-bucket Pareto front that is built lazily and maintained across
 invocations instead of re-scanning (or re-sweeping) the full bucket.  The
 contract: the *existence* answer is identical to the full-bucket scan, every

@@ -32,6 +32,32 @@ class TestInsertRemove:
         with pytest.raises(ValueError):
             index.insert(make_plan([1, 1]), -1)
 
+    def test_block_insert_rejects_registered_and_repeated_ids(self, index):
+        plans = [make_plan([1, 1]), make_plan([2, 2])]
+        arena = plans[0].arena
+        columns = [arena.costs.columns[0][:0], arena.costs.columns[1][:0]]
+        for plan in plans:
+            for column, value in zip(columns, plan.cost):
+                column.append(value)
+        index.insert(plans[0], 0)
+        with pytest.raises(ValueError):
+            index.insert_ids([p.plan_id for p in plans], [0, 0], arena, columns)
+        with pytest.raises(ValueError):
+            index.insert_ids([plans[1].plan_id] * 2, [0, 0], arena, columns)
+        with pytest.raises(ValueError):
+            index.insert_ids([plans[1].plan_id], [-1], arena, [c[1:] for c in columns])
+        assert len(index) == 1
+
+    def test_take_ids_removes_what_retrieve_returns(self, index):
+        plans = [make_plan([1, 1]), make_plan([9, 9]), make_plan([2, 2])]
+        for level, plan in enumerate(plans):
+            index.insert(plan, level % 2)
+        bounds = CostVector([5, 5])
+        expected = index.retrieve_ids(bounds, 1)
+        assert index.take_ids(bounds, 1) == expected
+        assert [p.plan_id for p in plans if p in index] == [plans[1].plan_id]
+        assert index.take_ids(bounds, 1) == []
+
     def test_remove(self, index):
         plan = make_plan([1, 1])
         index.insert(plan, 0)

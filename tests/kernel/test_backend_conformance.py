@@ -3,13 +3,15 @@
 Every backend (pure Python, numpy, and the compiled native tier when a C
 compiler is available) must implement the full kernel op surface --
 ``leq_slots`` / ``geq_slots`` / ``first_leq`` / ``any_leq`` /
-``scale_columns`` / ``take`` / ``combine_columns`` / ``pareto_mask`` --
-bit-identically.  This module pins that contract once, parametrized over the
-backends that can load on this machine, instead of the per-backend test
-copies it replaced: brute-force oracles over row tuples define "correct"
-independently of any backend, hypothesis drives the edge cases (+inf,
-tombstones, ties, empty blocks), and dedicated regression tests cover the
-blocks far beyond 4096 rows where the numpy Pareto sweep must stay tiled.
+``scale_columns`` / ``take`` / ``combine_columns`` / ``pareto_mask`` and the
+block-pruning ops ``minimum_columns`` / ``leq_rows`` / ``first_leq_rows`` /
+``claim_dominated`` -- bit-identically.  This module pins that contract once,
+parametrized over the backends that can load on this machine, instead of the
+per-backend test copies it replaced: brute-force oracles over row tuples
+define "correct" independently of any backend, hypothesis drives the edge
+cases (+inf, tombstones, ties, empty blocks), and dedicated regression tests
+cover the blocks far beyond 4096 rows where the numpy Pareto sweep must stay
+tiled.
 """
 
 import math
@@ -202,6 +204,118 @@ class TestDominanceOps:
         for backend in BACKENDS:
             with kernel.use_backend(backend):
                 assert kernel.ops.leq_slots(columns, alive, (3.0, 2.0)) == expected
+
+
+# ----------------------------------------------------------------------
+# Block-pruning ops (all backends)
+# ----------------------------------------------------------------------
+@st.composite
+def row_blocks(draw, max_rows=60):
+    """A matrix plus a second, equally wide block of query rows."""
+    columns, alive_flags, vector, rows, alive = draw(matrices(max_rows=max_rows))
+    dims = len(columns)
+    queries = draw(
+        st.lists(st.tuples(*([finite_or_inf] * dims)), min_size=0, max_size=max_rows)
+    )
+    if rows and queries and draw(st.booleans()):
+        # Reuse stored rows as queries so that ties (row == query) occur.
+        queries = [rows[draw(st.integers(0, len(rows) - 1))] for _ in queries]
+    query_columns = [array("d", (q[k] for q in queries)) for k in range(dims)]
+    return columns, alive_flags, vector, rows, alive, queries, query_columns
+
+
+class TestBlockPruningOps:
+    @settings(max_examples=150)
+    @given(matrices())
+    def test_minimum_columns_is_bit_identical(self, case):
+        columns, _, vector, rows, _ = case
+        expected = [
+            array("d", (x if x < v else v for x in col)).tobytes()
+            for col, v in zip(columns, vector)
+        ]
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                got = kernel.ops.minimum_columns(columns, vector)
+            assert [col.tobytes() for col in got] == expected, backend
+
+    @settings(max_examples=150)
+    @given(row_blocks())
+    def test_leq_rows_matches_oracle(self, case):
+        columns, _, _, rows, _, _, _ = case
+        # Compare each row against a shuffled copy of the block.
+        other_rows = list(reversed(rows))
+        other = [array("d", (r[k] for r in other_rows)) for k in range(len(columns))]
+        expected = [
+            i
+            for i, (row, bound) in enumerate(zip(rows, other_rows))
+            if all(x <= b for x, b in zip(row, bound))
+        ]
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                assert kernel.ops.leq_rows(columns, other) == expected, backend
+
+    @settings(max_examples=150)
+    @given(row_blocks())
+    def test_first_leq_rows_matches_oracle(self, case):
+        columns, alive_flags, _, rows, alive, queries, query_columns = case
+        expected = []
+        for query in queries:
+            hits = oracle_leq(rows, alive, query)
+            expected.append(hits[0] if hits else -1)
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                got = kernel.ops.first_leq_rows(columns, alive_flags, query_columns)
+            assert got == expected, backend
+
+    def test_first_leq_rows_crosses_numpy_tiles(self):
+        if not HAVE_NUMPY:
+            pytest.skip("numpy not available")
+        from repro.kernel import numpy_backend
+
+        # More (row, query) pairs than one tile holds; the only dominating
+        # row sits at the end, so every tile must be visited in order.
+        size = 1500
+        columns = [array("d", [5.0] * size) for _ in range(2)]
+        columns[0][size - 1] = 0.0
+        columns[1][size - 1] = 0.0
+        alive = array("b", [1] * size)
+        queries = [array("d", [1.0] * size), array("d", [1.0] * size)]
+        assert size * size > numpy_backend.ROWS_TILE_ELEMENTS
+        for backend in BACKENDS:
+            with kernel.use_backend(backend):
+                got = kernel.ops.first_leq_rows(columns, alive, queries)
+            assert got == [size - 1] * size, backend
+
+    @settings(max_examples=150)
+    @given(
+        matrices(),
+        st.data(),
+    )
+    def test_claim_dominated_matches_oracle(self, case, data):
+        columns, alive_flags, vector, rows, alive = case
+        n = len(rows)
+        start = data.draw(st.integers(min_value=0, max_value=n))
+        needs = st.lists(st.sampled_from((0, 0, 1, 2)), min_size=n, max_size=n)
+        required = array("q", data.draw(needs))
+        order = data.draw(st.sampled_from((0, 1, 2)))
+        expected = [
+            j
+            for j in range(start, n)
+            if alive[j]
+            and (required[j] == 0 or required[j] == order)
+            and all(x >= v for x, v in zip(rows[j], vector))
+        ]
+        expected_open = [
+            0 if j in expected else int(bool(alive[j])) for j in range(n)
+        ]
+        for backend in BACKENDS:
+            open_rows = array("b", alive_flags)
+            with kernel.use_backend(backend):
+                got = kernel.ops.claim_dominated(
+                    columns, open_rows, vector, start, required, order
+                )
+            assert got == expected, backend
+            assert open_rows.tolist() == expected_open, backend
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -183,6 +184,56 @@ class TestExporters:
         by_name = {row["name"]: row for row in rows}
         assert by_name["a"]["count"] == 3
         assert by_name["b"]["count"] == 1
+
+    def test_summarize_self_time_excludes_direct_children(self):
+        # Hand-built spans: root [0, 10] with children a [1, 4] and b [5, 9];
+        # a has its own child c [2, 3].  Self times: root 3, a 2, b 4, c 1.
+        def span(name, span_id, parent, start, end):
+            return {"name": name, "span_id": span_id, "parent_id": parent,
+                    "start": start, "end": end}
+
+        spans = [
+            span("root", "r", None, 0.0, 10.0),
+            span("a", "a", "r", 1.0, 4.0),
+            span("c", "c", "a", 2.0, 3.0),
+            span("b", "b", "r", 5.0, 9.0),
+        ]
+        by_name = {row["name"]: row for row in summarize(spans)}
+        assert by_name["root"]["seconds"] == 10.0
+        assert by_name["root"]["self_seconds"] == 3.0
+        assert by_name["a"]["seconds"] == 3.0
+        assert by_name["a"]["self_seconds"] == 2.0
+        assert by_name["b"]["self_seconds"] == 4.0
+        assert by_name["c"]["self_seconds"] == 1.0
+        assert sum(row["self_seconds"] for row in by_name.values()) == 10.0
+
+    def test_summarize_self_time_of_recorded_nested_spans(self, tracer):
+        def run():
+            with tracer.span("outer"):
+                with tracer.span("inner"):
+                    time.sleep(0.01)
+                with tracer.span("inner"):
+                    pass
+
+        _with_tracing(run)
+        by_name = {row["name"]: row for row in summarize(tracer.snapshot())}
+        outer, inner = by_name["outer"], by_name["inner"]
+        assert inner["count"] == 2
+        assert inner["self_seconds"] == pytest.approx(inner["seconds"])
+        assert outer["self_seconds"] == pytest.approx(
+            outer["seconds"] - inner["seconds"]
+        )
+        assert 0.0 <= outer["self_seconds"] < outer["seconds"]
+
+    def test_summarize_clamps_self_time_under_concurrent_children(self):
+        spans = [
+            {"name": "rpc", "span_id": "p", "parent_id": None, "start": 0.0, "end": 1.0},
+            {"name": "shard", "span_id": "x", "parent_id": "p", "start": 0.0, "end": 1.0},
+            {"name": "shard", "span_id": "y", "parent_id": "p", "start": 0.0, "end": 1.0},
+        ]
+        by_name = {row["name"]: row for row in summarize(spans)}
+        assert by_name["rpc"]["self_seconds"] == 0.0
+        assert by_name["shard"]["self_seconds"] == 2.0
 
 
 class TestModuleLevelTracer:
